@@ -8,7 +8,9 @@
 //     PR-1-era per-record sharded path, and the two-pass counted batch
 //     pipeline at 1/2/8 worker threads (with per-phase timings);
 //   * query throughput over a realistic operator battery (full-population,
-//     per-platform, per-access-network, date-windowed queries);
+//     per-platform, per-access-network, date-windowed queries), with each
+//     sharded battery's per-layer split (select / fold / tally / mos /
+//     social seconds, from every Insight's execution report);
 //   * the headline query speedup: the sharded engine vs the legacy path;
 //   * the two-tier query path: cold batteries answered by merging
 //     per-shard summaries (no record rescans) and warm batteries served
@@ -314,6 +316,31 @@ struct QueryResult {
   double battery_seconds{0.0};
   double queries_per_sec{0.0};
   std::size_t checksum{0};  // defeats dead-code elimination
+};
+
+/// A scan battery's per-layer split, in seconds per battery, read from each
+/// Insight's execution report: the implicit side's plan phases (select /
+/// fold / tally / mos) and the social side. All 0 under USAAS_TELEMETRY=off,
+/// where the service reads no clocks.
+struct QueryLayers {
+  double select{0.0};
+  double fold{0.0};
+  double tally{0.0};
+  double mos{0.0};
+  double social{0.0};
+  double run{0.0};  // the whole of QueryService::run
+
+  void add(const service::QueryExecution& e) {
+    select += e.select_seconds;
+    fold += e.fold_seconds;
+    tally += e.tally_seconds;
+    mos += e.mos_seconds;
+    social += e.social_seconds;
+    run += e.seconds;
+  }
+  void scale(double s) {
+    for (double* v : {&select, &fold, &tally, &mos, &social, &run}) *v *= s;
+  }
 };
 
 template <typename RunBattery>
@@ -1013,16 +1040,29 @@ int main() {
               "[flat store, query-time sentiment]\n",
               legacy_result.battery_seconds, legacy_result.queries_per_sec);
 
+  std::vector<QueryLayers> query_layers;
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     const service::QueryService& svc = *services[i];
-    const QueryResult r = time_batteries(3, [&] {
+    constexpr int kReps = 3;
+    QueryLayers layers;
+    const QueryResult r = time_batteries(kReps, [&] {
       std::size_t acc = 0;
-      for (const auto& q : queries) acc += svc.run(q).sessions;
+      for (const auto& q : queries) {
+        const service::Insight insight = svc.run(q);
+        layers.add(insight.execution);
+        acc += insight.sessions;
+      }
       return acc;
     });
+    layers.scale(1.0 / kReps);
     query_results.push_back(r);
-    std::printf("query   sharded %zut: %6.2f s/battery  (%5.2f q/s)\n",
-                thread_counts[i], r.battery_seconds, r.queries_per_sec);
+    query_layers.push_back(layers);
+    std::printf("query   sharded %zut: %6.2f s/battery  (%5.2f q/s)  "
+                "layers s/battery: select %.4f fold %.4f tally %.4f "
+                "mos %.4f social %.4f (run %.4f)\n",
+                thread_counts[i], r.battery_seconds, r.queries_per_sec,
+                layers.select, layers.fold, layers.tally, layers.mos,
+                layers.social, layers.run);
   }
 
   // Cross-check: the sharded engine answers the full-population query with
@@ -1498,13 +1538,18 @@ int main() {
        << legacy_result.queries_per_sec
        << ", \"pool_threads\": 1, \"effective_parallelism\": 1},\n";
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+    const QueryLayers& l = query_layers[i];
     json << "    \"sharded_" << thread_counts[i]
          << "t\": {\"battery_seconds\": " << query_results[i].battery_seconds
          << ", \"queries_per_sec\": " << query_results[i].queries_per_sec
          << ", \"pool_threads\": " << thread_counts[i]
          << ", \"effective_parallelism\": " << std::min(thread_counts[i], hw)
          << ", \"oversubscribed\": "
-         << (thread_counts[i] > hw ? "true" : "false") << "},\n";
+         << (thread_counts[i] > hw ? "true" : "false")
+         << ", \"layers_seconds_per_battery\": {\"select\": " << l.select
+         << ", \"fold\": " << l.fold << ", \"tally\": " << l.tally
+         << ", \"mos\": " << l.mos << ", \"social\": " << l.social
+         << ", \"run\": " << l.run << "}},\n";
   }
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     const TierResult& tier = tier_results[i];
@@ -1626,7 +1671,13 @@ int main() {
           "same stream in spans of chunk_records through push_many (one "
           "lock + one health publish per span; identical flush slicing "
           "and results). sharded_* query columns measure the raw scan "
-          "engine (cache and summaries disabled). cache_cold_* batteries "
+          "engine (cache and summaries disabled); their "
+          "layers_seconds_per_battery split each battery into the query "
+          "plan's select / fold / tally (predicted-MOS kernel) phases, "
+          "the mos (Spearman) step and the social side, read from every "
+          "Insight's execution report (run is the whole of "
+          "QueryService::run; with a pool the plan phases sum seconds "
+          "across workers). cache_cold_* batteries "
           "run each dashboard once on the default config: every query is "
           "a cache miss answered by merging per-shard summaries (reps: 1, "
           "so treat cold numbers as single-shot measurements). "

@@ -69,6 +69,7 @@ SANITIZE_TARGETS=(
   test_usaas_streaming
   test_usaas_insight_cache
   test_usaas_columnar
+  test_usaas_insight_oracle
   test_usaas_scheduler
   test_usaas_fair_queue
   test_usaas_http_listener

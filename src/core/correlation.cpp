@@ -42,9 +42,13 @@ double pearson(std::span<const double> xs, std::span<const double> ys) {
 
 double spearman(std::span<const double> xs, std::span<const double> ys) {
   require_paired(xs, ys, "spearman");
-  const auto rx = ranks(xs);
-  const auto ry = ranks(ys);
-  return pearson(rx, ry);
+  return spearman_with_ranks(xs, ranks(ys));
+}
+
+double spearman_with_ranks(std::span<const double> xs,
+                           std::span<const double> y_ranks) {
+  require_paired(xs, y_ranks, "spearman");
+  return pearson(ranks(xs), y_ranks);
 }
 
 double kendall_tau(std::span<const double> xs, std::span<const double> ys) {

@@ -21,6 +21,11 @@ namespace usaas::core {
 [[nodiscard]] double spearman(std::span<const double> xs,
                               std::span<const double> ys);
 
+/// spearman(xs, ys) given `y_ranks` == ranks(ys): several xs correlated
+/// against one ys rank ys once. Same arithmetic, bit-identical result.
+[[nodiscard]] double spearman_with_ranks(std::span<const double> xs,
+                                         std::span<const double> y_ranks);
+
 /// Kendall tau-b (tie-corrected). O(n^2); fine for the binned-curve sizes
 /// we feed it.
 [[nodiscard]] double kendall_tau(std::span<const double> xs,

@@ -12,14 +12,6 @@ Binner1D::Binner1D(double lo, double hi, std::size_t bins)
   stats_.resize(bins);
 }
 
-void Binner1D::add(double x, double y) {
-  if (x < lo_ || x >= hi_) return;
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  idx = std::min(idx, stats_.size() - 1);  // guard float rounding at hi edge
-  stats_[idx].add(y);
-  ++total_;
-}
-
 std::vector<Bin> Binner1D::bins() const {
   std::vector<Bin> out;
   out.reserve(stats_.size());

@@ -6,6 +6,7 @@
 // (latency x loss) grid for Fig 2's compounding heat map.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <span>
@@ -33,7 +34,22 @@ class Binner1D {
 
   /// Adds an (x, y) observation; x outside [lo, hi) is ignored (the paper's
   /// methodology clamps each sweep to a fixed metric window).
-  void add(double x, double y);
+  void add(double x, double y) { add_to_bin(bin_of(x), y); }
+
+  /// The bin add(x, ·) would feed, or bin_count() when it would ignore x.
+  /// Lets a caller bin x once and feed several binners of this layout.
+  [[nodiscard]] std::size_t bin_of(double x) const {
+    if (x < lo_ || x >= hi_) return stats_.size();
+    const auto idx = static_cast<std::size_t>((x - lo_) / width_);
+    return std::min(idx, stats_.size() - 1);  // float rounding at hi edge
+  }
+
+  /// add() with a precomputed bin_of(x); an out-of-range bin is ignored.
+  void add_to_bin(std::size_t bin, double y) {
+    if (bin >= stats_.size()) return;
+    stats_[bin].add(y);
+    ++total_;
+  }
 
   [[nodiscard]] std::size_t bin_count() const { return stats_.size(); }
   [[nodiscard]] std::size_t total_added() const { return total_; }

@@ -1,9 +1,11 @@
 #include "usaas/correlation_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -179,48 +181,133 @@ struct ControlColumns {
                                        : cols.mean_column(metric);
 }
 
-/// Runs selection + the optional filter/control refines for one shard:
-/// the shared phase-1 front half of every sweep-shaped scan.
-[[nodiscard]] ScanSet select_sweep_rows(const SessionColumns& cols,
-                                        const Residual& res,
-                                        const ParticipantFilter& filter,
-                                        const SweepSpec& spec,
-                                        std::vector<std::uint32_t>& scratch) {
-  ScanSet set{nullptr, cols.size()};
-  if (!res.none()) set = select_structural(cols, res, scratch);
-  if (filter) {
-    // Materialize rows for the opaque predicate — same call set, same
-    // order as the row scan (which also ran it after record_matches).
-    set = refine(set, scratch,
-                 [&](std::size_t r) { return filter(cols.record(r)); });
+/// True when row `r`'s three non-swept metrics sit inside their control
+/// windows (the confounder filter: "other metrics roughly constant").
+[[nodiscard]] bool in_control(const ControlColumns& cc, std::size_t r) {
+  unsigned ok = 1;
+  for (std::size_t j = 0; j < 3; ++j) {
+    ok &= static_cast<unsigned>(cc.col[j][r] >= cc.lo[j]) &
+          static_cast<unsigned>(cc.col[j][r] <= cc.hi[j]);
   }
-  if (spec.control_others) {
-    const ControlColumns cc =
-        make_control_columns(cols, spec.metric, spec.control, spec.aggregate);
-    set = refine(set, scratch, [&](std::size_t r) {
-      unsigned ok = 1;
-      for (std::size_t j = 0; j < 3; ++j) {
-        ok &= static_cast<unsigned>(cc.col[j][r] >= cc.lo[j]) &
-              static_cast<unsigned>(cc.col[j][r] <= cc.hi[j]);
-      }
-      return ok != 0;
-    });
-  }
-  return set;
+  return ok != 0;
 }
 
-/// Phase-2 sweep aggregation: add-only loop over the selected rows,
-/// touching exactly two columns.
-void accumulate_sweep(core::Binner1D& binner, const double* x, const double* y,
-                      ScanSet set) {
+/// Phase-2 curve fold over one shard's survivors: the swept metric's bin
+/// once per row, then one add per curve — `ys[c]` into binners[c], and
+/// the widened drop-off byte into binners[kCurves] when `dropped` is set
+/// (exactly the `dropped_early ? 1.0 : 0.0` the row scan fed). `control`,
+/// when set, gates rows the way the confounder refine did. The curve
+/// count is a template argument: a runtime trip count made the common
+/// one-curve loop ~25% slower than a plain Binner1D::add loop.
+template <std::size_t kCurves>
+void fold_curves(core::Binner1D* binners, const double* x,
+                 const double* const* ys, const std::uint8_t* dropped,
+                 const ControlColumns* control, ScanSet set) {
+  const core::Binner1D& layout = binners[0];
+  const std::size_t n_bins = layout.bin_count();
+  const auto row = [&](std::size_t r) {
+    if (control != nullptr && !in_control(*control, r)) return;
+    const std::size_t bin = layout.bin_of(x[r]);
+    if (bin >= n_bins) return;
+    for (std::size_t c = 0; c < kCurves; ++c) {
+      binners[c].add_to_bin(bin, ys[c][r]);
+    }
+    if (dropped != nullptr) {
+      binners[kCurves].add_to_bin(bin, static_cast<double>(dropped[r]));
+    }
+  };
   if (set.idx == nullptr) {
-    for (std::size_t i = 0; i < set.n; ++i) binner.add(x[i], y[i]);
-    return;
+    for (std::size_t r = 0; r < set.n; ++r) row(r);
+  } else {
+    for (std::size_t j = 0; j < set.n; ++j) row(set.idx[j]);
   }
-  for (std::size_t j = 0; j < set.n; ++j) {
-    const std::uint32_t r = set.idx[j];
-    binner.add(x[r], y[r]);
+}
+
+using FoldCurves = void (*)(core::Binner1D*, const double*,
+                            const double* const*, const std::uint8_t*,
+                            const ControlColumns*, ScanSet);
+/// fold_curves for 0..kNumEngagementMetrics curves, indexed by count.
+constexpr FoldCurves kFoldCurves[] = {fold_curves<0>, fold_curves<1>,
+                                      fold_curves<2>, fold_curves<3>};
+static_assert(std::size(kFoldCurves) == kNumEngagementMetrics + 1);
+
+/// Phase-2 tally and rated gather over the same survivors (either may be
+/// null): session count, observed-MOS sum and rated (engagement x3, MOS).
+void fold_tally_and_rated(const SessionColumns& cols,
+                          CorrelationEngine::Tally* tally,
+                          CorrelationEngine::RatedRows* rated, ScanSet set) {
+  if (tally == nullptr && rated == nullptr) return;
+  const std::uint8_t* valid = cols.mos_valid.data();
+  const double* mos = cols.mos.data();
+  const double* pres = cols.presence.data();
+  const double* cam = cols.cam_on.data();
+  const double* mic = cols.mic_on.data();
+  std::size_t rated_rows = 0;
+  double observed = 0.0;
+  const auto row = [&](std::size_t r) {
+    if (valid[r] == 0) return;
+    ++rated_rows;
+    observed += mos[r];
+    if (rated != nullptr) {
+      rated->engagement[0].push_back(pres[r]);
+      rated->engagement[1].push_back(cam[r]);
+      rated->engagement[2].push_back(mic[r]);
+      rated->mos.push_back(mos[r]);
+    }
+  };
+  if (set.idx == nullptr) {
+    for (std::size_t r = 0; r < set.n; ++r) row(r);
+  } else {
+    for (std::size_t j = 0; j < set.n; ++j) row(set.idx[j]);
   }
+  if (tally != nullptr) {  // a scanned shard's tally starts from zero
+    tally->sessions = set.n;
+    tally->rated = rated_rows;
+    tally->observed_mos_sum = observed;
+  }
+}
+
+/// Pearson, Spearman and the Fig-4 decile curve over paired rated samples.
+[[nodiscard]] std::optional<CorrelationEngine::MosCorrelation> correlate(
+    const std::vector<double>& eng, const std::vector<double>& mos,
+    std::size_t min_samples) {
+  if (eng.size() < min_samples) return std::nullopt;
+  CorrelationEngine::MosCorrelation out;
+  out.rated_sessions = eng.size();
+  out.pearson = core::pearson(eng, mos);
+  out.spearman = core::spearman(eng, mos);
+
+  // Decile curve: mean MOS per engagement decile. Ties are broken on the
+  // (engagement, MOS) value pair so the sorted sequence — and hence every
+  // decile sum — is a function of the sample multiset alone, identical
+  // across shard layouts and thread counts.
+  std::vector<std::size_t> order(eng.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (eng[a] != eng[b]) return eng[a] < eng[b];
+    return mos[a] < mos[b];
+  });
+  const std::size_t deciles = 10;
+  for (std::size_t dec = 0; dec < deciles; ++dec) {
+    const std::size_t lo = dec * order.size() / deciles;
+    const std::size_t hi = (dec + 1) * order.size() / deciles;
+    if (hi <= lo) continue;
+    double eng_acc = 0.0;
+    double mos_acc = 0.0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      eng_acc += eng[order[i]];
+      mos_acc += mos[order[i]];
+    }
+    const auto n = static_cast<double>(hi - lo);
+    out.decile_curve.push_back({eng_acc / n, mos_acc / n, hi - lo});
+  }
+  return out;
+}
+
+void add_fanout(QueryFanoutStats* out, const QueryFanoutStats& plan) {
+  if (out == nullptr) return;
+  out->shards_from_summary += plan.shards_from_summary;
+  out->shards_scanned += plan.shards_scanned;
 }
 
 }  // namespace
@@ -609,8 +696,7 @@ std::size_t CorrelationEngine::summary_memory_bytes() const {
 }
 
 void CorrelationEngine::refresh_predicted_tallies(
-    const std::function<double(const confsim::ParticipantRecord&)>&
-        predictor) {
+    const RowPredictor& predictor) {
   if (!summary_cfg_) return;
   core::parallel_for(pool_, shards_.size(), [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
@@ -618,6 +704,12 @@ void CorrelationEngine::refresh_predicted_tallies(
     }
   });
   predicted_fresh_ = static_cast<bool>(predictor);
+}
+
+void CorrelationEngine::shrink_to_fit() {
+  core::parallel_for(pool_, shards_.size(), [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) shards_[i].columns.shrink_to_fit();
+  });
 }
 
 std::vector<CorrelationEngine::SelectedShard> CorrelationEngine::select_shards(
@@ -658,20 +750,35 @@ std::vector<CorrelationEngine::SelectedShard> CorrelationEngine::select_shards(
   return out;
 }
 
-EngagementCurve CorrelationEngine::engagement_curve(
-    const SweepSpec& spec, EngagementMetric engagement,
-    const ParticipantFilter& filter, const ShardSelector& selector,
-    QueryFanoutStats* fanout) const {
-  const auto selected = select_shards(selector);
-  // Summary fast path: the query shape must match a precomputed axis
-  // exactly (metric/lo/hi/bins, mean aggregate, no confounder filter, no
-  // opaque row filter) — then each shard whose pruning is fully
-  // discharged at the shard level merges its summary binner instead of
-  // rescanning records. Boundary shards still scan.
+CorrelationEngine::PlanResult CorrelationEngine::execute(
+    const PlanSpec& plan) const {
+  using Clock = std::chrono::steady_clock;
+  const auto now = [&] {
+    return plan.timed ? Clock::now() : Clock::time_point{};
+  };
+  const auto expired = [&] { return plan.expired && plan.expired(); };
+  const auto abandoned = [] {
+    PlanResult out;
+    out.expired = true;
+    return out;
+  };
+  const auto t0 = now();
+  const std::vector<SelectedShard> selected = select_shards(plan.selector);
+  const SweepSpec& sweep = plan.sweep;
+  const std::size_t n_curves = plan.curves.size();
+  if (n_curves > static_cast<std::size_t>(kNumEngagementMetrics)) {
+    throw std::invalid_argument(
+        "CorrelationEngine::execute: more curves than engagement metrics");
+  }
+  const bool want_curves = n_curves > 0 || plan.dropoff;
+
+  // Summary fast path for curves: the shape must match a precomputed axis
+  // exactly (metric/lo/hi/bins, mean aggregate, no confounder filter);
+  // drop-off rates are never summarized.
   std::optional<std::size_t> axis;
-  if (summary_cfg_ && !filter && !spec.control_others &&
-      spec.aggregate == SessionAggregate::kMean) {
-    const SummaryAxis wanted{spec.metric, spec.lo, spec.hi, spec.bins};
+  if (summary_cfg_ && !plan.dropoff && !sweep.control_others &&
+      sweep.aggregate == SessionAggregate::kMean) {
+    const SummaryAxis wanted{sweep.metric, sweep.lo, sweep.hi, sweep.bins};
     for (std::size_t a = 0; a < summary_cfg_->axes.size(); ++a) {
       if (summary_cfg_->axes[a] == wanted) {
         axis = a;
@@ -679,95 +786,265 @@ EngagementCurve CorrelationEngine::engagement_curve(
       }
     }
   }
-  std::vector<char> use_summary(selected.size(), 0);
+
+  // Per shard: which outputs its summary answers, and whether any output
+  // still needs its rows. A summary answers only a shard whose pruning is
+  // fully discharged (no date cut into its month, no per-row platform
+  // check) and no opaque filter. Predicted sums merge only while they are
+  // fresh for the caller's predictor (refresh_predicted_tallies).
+  struct ShardWork {
+    bool scan{false};
+    bool curves_merged{false};
+    bool tally_merged{false};
+    bool rated_merged{false};
+    std::vector<core::Binner1D> binners;  // plan.curves..., then drop-off
+    Tally tally;
+    RatedRows rated;
+    PlanTimings seconds;  // this shard's share of each phase
+  };
+  std::vector<ShardWork> work(selected.size());
+  std::vector<char> from_summary(selected.size(), 0);
   std::uint64_t n_summary = 0;
   for (std::size_t i = 0; i < selected.size(); ++i) {
     const SelectedShard& sel = selected[i];
-    use_summary[i] = axis && !sel.check_dates && !sel.check_platform &&
-                     sel.shard->summary.enabled();
-    n_summary += use_summary[i] ? 1 : 0;
+    ShardWork& w = work[i];
+    const bool merge = !plan.filter && !sel.check_dates &&
+                       !sel.check_platform && sel.shard->summary.enabled();
+    w.curves_merged = merge && axis.has_value();
+    w.tally_merged = merge && (!plan.predictor || predicted_fresh_);
+    w.rated_merged = merge;
+    w.scan = (want_curves && !w.curves_merged) ||
+             (plan.tally && !w.tally_merged) ||
+             (plan.rated && !w.rated_merged);
+    from_summary[i] = w.scan ? 0 : 1;
+    n_summary += w.scan ? 0 : 1;
   }
-  note_shard_touches(selected, use_summary, n_summary, fanout);
+  PlanResult out;
+  note_shard_touches(selected, from_summary, n_summary, &out.fanout);
 
-  std::vector<core::Binner1D> partials;
-  partials.reserve(selected.size());
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    partials.emplace_back(spec.lo, spec.hi, spec.bins);
-  }
+  const auto t_plan = now();
+
+  // ---- Per shard: merge what its summary answers; a scanned shard then
+  // runs phase 1 (selection), phase 2 (the fold) and the prediction
+  // kernel back to back over one survivor list, in scratch its worker
+  // reuses across shards. The budget is checked before each shard's fold
+  // and once more after the last.
+  const auto access = plan.selector.access;
+  std::atomic<bool> out_of_time{false};
   core::parallel_for(pool_, selected.size(), [&](std::size_t b, std::size_t e) {
-    std::vector<std::uint32_t> scratch;
+    std::vector<std::uint32_t> rows;  // survivors; backs set.idx
+    std::vector<double> predicted;
     for (std::size_t i = b; i < e; ++i) {
-      const SelectedShard& sel = selected[i];
-      core::Binner1D& binner = partials[i];
-      if (use_summary[i]) {
-        sel.shard->summary.add_curve_to(binner, *axis, engagement,
-                                        selector.access);
+      if (out_of_time.load(std::memory_order_relaxed)) break;
+      if (expired()) {
+        out_of_time.store(true, std::memory_order_relaxed);
+        break;
+      }
+      ShardWork& w = work[i];
+      const auto t_start = now();
+      const ShardSummary& summary = selected[i].shard->summary;
+      if (want_curves) {
+        w.binners.reserve(n_curves + 1);
+        for (std::size_t c = 0; c < n_curves + (plan.dropoff ? 1 : 0); ++c) {
+          w.binners.emplace_back(sweep.lo, sweep.hi, sweep.bins);
+        }
+        if (w.curves_merged) {
+          for (std::size_t c = 0; c < n_curves; ++c) {
+            summary.add_curve_to(w.binners[c], *axis, plan.curves[c], access);
+          }
+        }
+      }
+      if (plan.tally && w.tally_merged) {
+        const SummaryTally& st = summary.tally(access);
+        w.tally.sessions += st.sessions;
+        w.tally.rated += st.rated;
+        w.tally.observed_mos_sum += st.observed_mos_sum;
+        if (plan.predictor) {
+          w.tally.predicted_mos_sum += st.predicted_mos_sum;
+          w.tally.predicted += st.predicted;
+        }
+      }
+      if (plan.rated && w.rated_merged) {
+        const std::size_t n = summary.tally(access).rated;
+        for (std::vector<double>& column : w.rated.engagement) {
+          column.reserve(n);
+        }
+        w.rated.mos.reserve(n);
+        for (const RatedSample& rs : summary.rated()) {
+          if (access && rs.access != static_cast<std::uint8_t>(*access)) {
+            continue;
+          }
+          for (std::size_t m = 0; m < rs.engagement.size(); ++m) {
+            w.rated.engagement[m].push_back(rs.engagement[m]);
+          }
+          w.rated.mos.push_back(rs.mos);
+        }
+      }
+      if (!w.scan) {
+        w.seconds.fold_seconds = seconds_between(t_start, now());
         continue;
       }
+
+      // Phase 1: structural selection (+ opaque filter).
+      const SelectedShard& sel = selected[i];
       const SessionColumns& cols = sel.shard->columns;
+      const auto t_select = now();
       const Residual res =
-          make_residual(sel.check_dates, sel.check_platform, selector);
-      const ScanSet set =
-          select_sweep_rows(cols, res, filter, spec, scratch);
-      accumulate_sweep(binner, sweep_column(cols, spec.metric, spec.aggregate),
-                       cols.engagement_column(engagement), set);
+          make_residual(sel.check_dates, sel.check_platform, plan.selector);
+      ScanSet set{nullptr, cols.size()};
+      if (!res.none()) set = select_structural(cols, res, rows);
+      if (plan.filter) {
+        // Materialize rows for the opaque predicate — same call set, same
+        // order as the row scan (which also ran it after record_matches).
+        set = refine(set, rows, [&](std::size_t r) {
+          return plan.filter(cols.record(r));
+        });
+      }
+      const auto t_fold = now();
+
+      // Phase 2: the swept-metric bin once per row feeds every curve; the
+      // tally and the rated gather take one more loop over the same
+      // survivors (one loop carrying all of them, with a runtime curve
+      // count, ran the one-curve wrapper ~50% slower than the old loop).
+      if (want_curves && !w.curves_merged) {
+        std::array<const double*, kNumEngagementMetrics> ys{};
+        for (std::size_t c = 0; c < n_curves; ++c) {
+          ys[c] = cols.engagement_column(plan.curves[c]);
+        }
+        const ControlColumns cc =
+            sweep.control_others
+                ? make_control_columns(cols, sweep.metric, sweep.control,
+                                       sweep.aggregate)
+                : ControlColumns{};
+        kFoldCurves[n_curves](
+            w.binners.data(),
+            sweep_column(cols, sweep.metric, sweep.aggregate), ys.data(),
+            plan.dropoff ? cols.dropped_early.data() : nullptr,
+            sweep.control_others ? &cc : nullptr, set);
+      }
+      fold_tally_and_rated(cols, plan.tally && !w.tally_merged ? &w.tally
+                                                               : nullptr,
+                           plan.rated && !w.rated_merged ? &w.rated : nullptr,
+                           set);
+      const auto t_predict = now();
+
+      // Predicted MOS: the column kernel over the same survivors, summed
+      // in row order into its own accumulator.
+      if (plan.tally && plan.predictor && !w.tally_merged) {
+        predicted.resize(set.n);
+        plan.predictor.predict_rows(cols, set.idx, set.n, predicted.data());
+        for (const double p : predicted) w.tally.predicted_mos_sum += p;
+        w.tally.predicted += set.n;
+      }
+      const auto t_end = now();
+      w.seconds = {seconds_between(t_select, t_fold),
+                   seconds_between(t_start, t_select) +
+                       seconds_between(t_fold, t_predict),
+                   seconds_between(t_predict, t_end)};
     }
   });
-  core::Binner1D total{spec.lo, spec.hi, spec.bins};
-  for (const core::Binner1D& p : partials) total.merge(p);
-
-  EngagementCurve curve;
-  curve.network_metric = spec.metric;
-  curve.engagement_metric = engagement;
-  for (const core::Bin& b : total.bins()) {
-    curve.points.push_back({b.center(), b.mean_y, b.count});
+  if (out_of_time.load(std::memory_order_relaxed) || expired()) {
+    return abandoned();
   }
-  return curve;
+  const auto t_reduce = now();
+
+  // ---- Reduce the per-shard partials in shard-key order.
+  for (std::size_t c = 0; c < n_curves + (plan.dropoff ? 1 : 0); ++c) {
+    core::Binner1D total{sweep.lo, sweep.hi, sweep.bins};
+    for (const ShardWork& w : work) total.merge(w.binners[c]);
+    std::vector<CurvePoint> points;
+    for (const core::Bin& bin : total.bins()) {
+      points.push_back({bin.center(), bin.mean_y, bin.count});
+    }
+    if (c == n_curves) {
+      out.dropoff = std::move(points);
+    } else {
+      out.curves.push_back({sweep.metric, plan.curves[c], std::move(points)});
+    }
+  }
+  std::size_t rated_total = 0;
+  for (const ShardWork& w : work) rated_total += w.rated.mos.size();
+  for (std::vector<double>& column : out.rated.engagement) {
+    column.reserve(rated_total);
+  }
+  out.rated.mos.reserve(rated_total);
+  for (const ShardWork& w : work) {
+    out.tally.sessions += w.tally.sessions;
+    out.tally.rated += w.tally.rated;
+    out.tally.observed_mos_sum += w.tally.observed_mos_sum;
+    out.tally.predicted_mos_sum += w.tally.predicted_mos_sum;
+    out.tally.predicted += w.tally.predicted;
+    for (std::size_t m = 0; m < out.rated.engagement.size(); ++m) {
+      out.rated.engagement[m].insert(out.rated.engagement[m].end(),
+                                     w.rated.engagement[m].begin(),
+                                     w.rated.engagement[m].end());
+    }
+    out.rated.mos.insert(out.rated.mos.end(), w.rated.mos.begin(),
+                         w.rated.mos.end());
+  }
+  if (plan.timed) {
+    out.timings.select_seconds = seconds_between(t0, t_plan);
+    out.timings.fold_seconds = seconds_between(t_reduce, now());
+    for (const ShardWork& w : work) {
+      out.timings.select_seconds += w.seconds.select_seconds;
+      out.timings.fold_seconds += w.seconds.fold_seconds;
+      out.timings.tally_seconds += w.seconds.tally_seconds;
+    }
+  }
+  return out;
+}
+
+EngagementCurve CorrelationEngine::engagement_curve(
+    const SweepSpec& spec, EngagementMetric engagement,
+    const ParticipantFilter& filter, const ShardSelector& selector,
+    QueryFanoutStats* fanout) const {
+  PlanSpec plan;
+  plan.selector = selector;
+  plan.filter = filter;
+  plan.sweep = spec;
+  plan.curves = {engagement};
+  PlanResult result = execute(plan);
+  add_fanout(fanout, result.fanout);
+  return std::move(result.curves.front());
 }
 
 std::vector<CurvePoint> CorrelationEngine::dropoff_curve(
     const SweepSpec& spec, const ParticipantFilter& filter,
     const ShardSelector& selector) const {
-  const auto selected = select_shards(selector);
-  std::vector<core::Binner1D> partials;
-  partials.reserve(selected.size());
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    partials.emplace_back(spec.lo, spec.hi, spec.bins);
-  }
-  core::parallel_for(pool_, selected.size(), [&](std::size_t b, std::size_t e) {
-    std::vector<std::uint32_t> scratch;
-    for (std::size_t i = b; i < e; ++i) {
-      const SelectedShard& sel = selected[i];
-      core::Binner1D& binner = partials[i];
-      const SessionColumns& cols = sel.shard->columns;
-      const Residual res =
-          make_residual(sel.check_dates, sel.check_platform, selector);
-      const ScanSet set =
-          select_sweep_rows(cols, res, filter, spec, scratch);
-      // y is the 0/1 early-drop byte widened to double — exactly the
-      // `dropped_early ? 1.0 : 0.0` the row scan fed the binner.
-      const double* x = sweep_column(cols, spec.metric, spec.aggregate);
-      const std::uint8_t* dropped = cols.dropped_early.data();
-      if (set.idx == nullptr) {
-        for (std::size_t r = 0; r < set.n; ++r) {
-          binner.add(x[r], static_cast<double>(dropped[r]));
-        }
-      } else {
-        for (std::size_t j = 0; j < set.n; ++j) {
-          const std::uint32_t r = set.idx[j];
-          binner.add(x[r], static_cast<double>(dropped[r]));
-        }
-      }
-    }
-  });
-  core::Binner1D total{spec.lo, spec.hi, spec.bins};
-  for (const core::Binner1D& p : partials) total.merge(p);
+  PlanSpec plan;
+  plan.selector = selector;
+  plan.filter = filter;
+  plan.sweep = spec;
+  plan.dropoff = true;
+  return std::move(execute(plan).dropoff);
+}
 
-  std::vector<CurvePoint> out;
-  for (const core::Bin& b : total.bins()) {
-    out.push_back({b.center(), b.mean_y, b.count});
-  }
-  return out;
+std::optional<CorrelationEngine::MosCorrelation>
+CorrelationEngine::mos_correlation(EngagementMetric engagement,
+                                   std::size_t min_samples,
+                                   QueryFanoutStats* fanout,
+                                   const ShardSelector& selector) const {
+  PlanSpec plan;
+  plan.selector = selector;
+  plan.rated = true;
+  const PlanResult result = execute(plan);
+  add_fanout(fanout, result.fanout);
+  return correlate(
+      result.rated.engagement[static_cast<std::size_t>(engagement)],
+      result.rated.mos, min_samples);
+}
+
+CorrelationEngine::Tally CorrelationEngine::tally(
+    const ParticipantFilter& filter, const ShardSelector& selector,
+    const RowPredictor& predictor, QueryFanoutStats* fanout) const {
+  PlanSpec plan;
+  plan.selector = selector;
+  plan.filter = filter;
+  plan.tally = true;
+  plan.predictor = predictor;
+  const PlanResult result = execute(plan);
+  add_fanout(fanout, result.fanout);
+  return result.tally;
 }
 
 core::Grid2D CorrelationEngine::compounding_grid(EngagementMetric engagement,
@@ -816,171 +1093,6 @@ core::Grid2D CorrelationEngine::compounding_grid(EngagementMetric engagement,
   core::Grid2D total{0.0, latency_hi_ms, lat_bins, 0.0, loss_hi_pct,
                      loss_bins};
   for (const core::Grid2D& p : partials) total.merge(p);
-  return total;
-}
-
-std::optional<CorrelationEngine::MosCorrelation>
-CorrelationEngine::mos_correlation(EngagementMetric engagement,
-                                   std::size_t min_samples,
-                                   QueryFanoutStats* fanout) const {
-  const auto selected = select_shards({});
-  struct Rated {
-    std::vector<double> eng;
-    std::vector<double> mos;
-  };
-  std::vector<Rated> partials(selected.size());
-  // Summary fast path: each summary keeps its shard's rated sessions as
-  // (engagement, MOS) samples in ingest order — the gather below replays
-  // the scan's exact sequence, so downstream stats are bit-identical.
-  const auto eng_idx = static_cast<std::size_t>(engagement);
-  std::vector<char> use_summary(selected.size(), 0);
-  std::uint64_t n_summary = 0;
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    use_summary[i] = summary_cfg_.has_value() &&
-                     selected[i].shard->summary.enabled();
-    n_summary += use_summary[i] ? 1 : 0;
-  }
-  note_shard_touches(selected, use_summary, n_summary, fanout);
-  core::parallel_for(pool_, selected.size(), [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      Rated& part = partials[i];
-      if (use_summary[i]) {
-        for (const RatedSample& s : selected[i].shard->summary.rated()) {
-          part.eng.push_back(s.engagement[eng_idx]);
-          part.mos.push_back(s.mos);
-        }
-        continue;
-      }
-      // Columnar gather over the validity mask: three columns touched
-      // (~17 bytes/row) instead of the full record.
-      const SessionColumns& cols = selected[i].shard->columns;
-      const std::uint8_t* valid = cols.mos_valid.data();
-      const double* eng = cols.engagement_column(engagement);
-      const double* mos = cols.mos.data();
-      for (std::size_t r = 0; r < cols.size(); ++r) {
-        if (valid[r] == 0) continue;
-        part.eng.push_back(eng[r]);
-        part.mos.push_back(mos[r]);
-      }
-    }
-  });
-  std::vector<double> eng;
-  std::vector<double> mos;
-  for (const Rated& part : partials) {
-    eng.insert(eng.end(), part.eng.begin(), part.eng.end());
-    mos.insert(mos.end(), part.mos.begin(), part.mos.end());
-  }
-  if (eng.size() < min_samples) return std::nullopt;
-
-  MosCorrelation out;
-  out.rated_sessions = eng.size();
-  out.pearson = core::pearson(eng, mos);
-  out.spearman = core::spearman(eng, mos);
-
-  // Decile curve: mean MOS per engagement decile. Ties are broken on the
-  // (engagement, MOS) value pair so the sorted sequence — and hence every
-  // decile sum — is a function of the sample multiset alone, identical
-  // across shard layouts and thread counts.
-  std::vector<std::size_t> order(eng.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (eng[a] != eng[b]) return eng[a] < eng[b];
-    return mos[a] < mos[b];
-  });
-  const std::size_t deciles = 10;
-  for (std::size_t dec = 0; dec < deciles; ++dec) {
-    const std::size_t lo = dec * order.size() / deciles;
-    const std::size_t hi = (dec + 1) * order.size() / deciles;
-    if (hi <= lo) continue;
-    double eng_acc = 0.0;
-    double mos_acc = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      eng_acc += eng[order[i]];
-      mos_acc += mos[order[i]];
-    }
-    const auto n = static_cast<double>(hi - lo);
-    out.decile_curve.push_back({eng_acc / n, mos_acc / n, hi - lo});
-  }
-  return out;
-}
-
-CorrelationEngine::Tally CorrelationEngine::tally(
-    const ParticipantFilter& filter, const ShardSelector& selector,
-    const std::function<double(const confsim::ParticipantRecord&)>& predictor,
-    QueryFanoutStats* fanout) const {
-  const auto selected = select_shards(selector);
-  // Summary fast path: counts and MOS sums live pre-accumulated per shard
-  // (whole-shard and per-access buckets, both in ingest order — identical
-  // add sequence to the scan). Predicted sums are only usable while
-  // they're fresh for the caller's predictor (refresh_predicted_tallies).
-  const bool summary_capable =
-      summary_cfg_.has_value() && !filter && (!predictor || predicted_fresh_);
-  std::vector<char> use_summary(selected.size(), 0);
-  std::uint64_t n_summary = 0;
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    const SelectedShard& sel = selected[i];
-    use_summary[i] = summary_capable && !sel.check_dates &&
-                     !sel.check_platform && sel.shard->summary.enabled();
-    n_summary += use_summary[i] ? 1 : 0;
-  }
-  note_shard_touches(selected, use_summary, n_summary, fanout);
-  std::vector<Tally> partials(selected.size());
-  core::parallel_for(pool_, selected.size(), [&](std::size_t b, std::size_t e) {
-    std::vector<std::uint32_t> scratch;
-    for (std::size_t i = b; i < e; ++i) {
-      const SelectedShard& sel = selected[i];
-      Tally& part = partials[i];
-      if (use_summary[i]) {
-        const SummaryTally& st = sel.shard->summary.tally(selector.access);
-        part.sessions += st.sessions;
-        part.rated += st.rated;
-        part.observed_mos_sum += st.observed_mos_sum;
-        if (predictor) {
-          part.predicted_mos_sum += st.predicted_mos_sum;
-          part.predicted += st.predicted;
-        }
-        continue;
-      }
-      const SessionColumns& cols = sel.shard->columns;
-      const Residual res =
-          make_residual(sel.check_dates, sel.check_platform, selector);
-      ScanSet set{nullptr, cols.size()};
-      if (!res.none()) set = select_structural(cols, res, scratch);
-      if (filter) {
-        set = refine(set, scratch,
-                     [&](std::size_t r) { return filter(cols.record(r)); });
-      }
-      const std::uint8_t* valid = cols.mos_valid.data();
-      const double* mos = cols.mos.data();
-      // The row scan's per-record accumulators are independent, so the
-      // split over selected rows below replays each one's add sequence
-      // exactly (same rows, same order).
-      const auto tally_row = [&](std::size_t r) {
-        ++part.sessions;
-        if (valid[r] != 0) {
-          part.observed_mos_sum += mos[r];
-          ++part.rated;
-        }
-        if (predictor) {
-          part.predicted_mos_sum += predictor(cols.record(r));
-          ++part.predicted;
-        }
-      };
-      if (set.idx == nullptr) {
-        for (std::size_t r = 0; r < set.n; ++r) tally_row(r);
-      } else {
-        for (std::size_t j = 0; j < set.n; ++j) tally_row(set.idx[j]);
-      }
-    }
-  });
-  Tally total;
-  for (const Tally& part : partials) {
-    total.sessions += part.sessions;
-    total.rated += part.rated;
-    total.observed_mos_sum += part.observed_mos_sum;
-    total.predicted_mos_sum += part.predicted_mos_sum;
-    total.predicted += part.predicted;
-  }
   return total;
 }
 

@@ -23,6 +23,7 @@
 // the flat layout as the sequential reference path for equivalence tests.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -39,6 +40,7 @@
 #include "core/telemetry/metrics.h"
 #include "core/thread_pool.h"
 #include "netsim/conditions.h"
+#include "usaas/mos_predictor.h"
 #include "usaas/session_columns.h"
 #include "usaas/shard_summary.h"
 #include "usaas/signals.h"
@@ -183,13 +185,16 @@ class CorrelationEngine {
 
   /// Recomputes every shard's predicted-MOS tally sums with `predictor`
   /// (callers must hold their corpus write lock). Until the next ingest,
-  /// tally() calls may answer predicted sums from summaries — but only
-  /// when invoked with this same predictor; passing a different one is a
-  /// caller contract violation. Null clears the sums and the fresh flag.
-  void refresh_predicted_tallies(
-      const std::function<double(const confsim::ParticipantRecord&)>&
-          predictor);
+  /// plans with a predictor may answer predicted sums from summaries —
+  /// but only when given this same predictor; passing a different one is
+  /// a caller contract violation. Empty clears the sums and the fresh flag.
+  void refresh_predicted_tallies(const RowPredictor& predictor);
   void clear_predicted_tallies() { refresh_predicted_tallies(nullptr); }
+
+  /// Drops every shard's unused column capacity: one exact-size copy per
+  /// column (callers hold their corpus write lock). Appends grow columns
+  /// by 1.5x, so a streamed corpus otherwise carries ~20% dead capacity.
+  void shrink_to_fit();
 
   /// Cumulative summary-vs-scan fan-out counters (relaxed atomics; exact
   /// under the caller's locking, advisory under concurrent queries).
@@ -198,11 +203,83 @@ class CorrelationEngine {
             fanout_.scanned.load(std::memory_order_relaxed)};
   }
 
+  /// Per-query session tallies: counts, observed-MOS sum over rated
+  /// sessions, and (when a predictor is given) predicted-MOS sum over
+  /// every matching session.
+  struct Tally {
+    std::size_t sessions{0};
+    std::size_t rated{0};
+    double observed_mos_sum{0.0};
+    double predicted_mos_sum{0.0};
+    std::size_t predicted{0};
+  };
+
+  /// The rated sessions a plan selected, in shard-key then ingest order:
+  /// one engagement column per EngagementMetric, plus their MOS.
+  struct RatedRows {
+    std::array<std::vector<double>, kNumEngagementMetrics> engagement;
+    std::vector<double> mos;
+  };
+
+  /// One query compiled into a single per-shard plan (DESIGN.md §12):
+  /// select_shards once; per shard, merge what its summary answers and
+  /// scan for the rest; phase-1 selection once per scanned shard; a
+  /// phase-2 fold of its survivors feeding every requested curve, the
+  /// tally and the rated gather; predicted MOS as a column kernel over the
+  /// same survivors. Each output is optional.
+  struct PlanSpec {
+    ShardSelector selector;
+    /// Opaque row filter; forces every shard onto the scan path.
+    ParticipantFilter filter;
+    /// Layout of the curves below (metric, range, bins, aggregate,
+    /// confounder control).
+    SweepSpec sweep;
+    /// One engagement curve per entry, in this order.
+    std::vector<EngagementMetric> curves;
+    /// An early-drop-off-rate curve over `sweep` (never summary-answered).
+    bool dropoff{false};
+    bool tally{false};
+    /// Predicted-MOS sums for the tally; empty for none.
+    RowPredictor predictor;
+    /// Gather the selected rated sessions (PlanResult::rated).
+    bool rated{false};
+    /// Record per-phase seconds in PlanResult::timings.
+    bool timed{false};
+    /// Checked before each shard's fold and after the last one (from pool
+    /// workers when the plan fans out); true abandons the plan.
+    std::function<bool()> expired;
+  };
+
+  /// Per-phase seconds of one plan, summed over its shards (CPU seconds
+  /// across workers when the pool fans out; all 0 unless PlanSpec::timed).
+  struct PlanTimings {
+    double select_seconds{0.0};  // select_shards + phase-1 selection
+    double fold_seconds{0.0};    // phase-2 fold, summary merges, reduction
+    double tally_seconds{0.0};   // predicted-MOS kernel over the survivors
+  };
+
+  struct PlanResult {
+    /// PlanSpec::expired fired; every other field is unset.
+    bool expired{false};
+    std::vector<EngagementCurve> curves;
+    std::vector<CurvePoint> dropoff;
+    Tally tally;
+    RatedRows rated;
+    /// This plan's shard visits: each selected shard counts once, as a
+    /// scan when any of its rows were visited, else as a summary merge.
+    QueryFanoutStats fanout;
+    PlanTimings timings;
+  };
+
+  /// Runs a compiled plan. Every per-shard visit order and accumulator
+  /// add order is the row scan's, so each output is bit-identical to the
+  /// single-output wrappers below and to a scan of the same rows.
+  [[nodiscard]] PlanResult execute(const PlanSpec& plan) const;
+
   /// Fig 1 / Fig 3: binned engagement curve over one network metric.
   /// `fanout`, here and on mos_correlation/tally, additionally receives
   /// this one call's summary-vs-scan shard visits (the cumulative
-  /// fanout_stats() counters are always bumped) — the per-query execution
-  /// shape QueryService reports in Insight::execution.
+  /// fanout_stats() counters are always bumped).
   [[nodiscard]] EngagementCurve engagement_curve(
       const SweepSpec& spec, EngagementMetric engagement,
       const ParticipantFilter& filter = nullptr,
@@ -220,8 +297,8 @@ class CorrelationEngine {
       double loss_hi_pct, std::size_t loss_bins) const;
 
   /// Fig 4: correlation between an engagement metric and MOS over the
-  /// MOS-sampled subset. Returns nullopt when fewer than `min_samples`
-  /// rated sessions exist.
+  /// MOS-sampled sessions `selector` picks (the whole corpus by default).
+  /// Returns nullopt when fewer than `min_samples` rated sessions exist.
   struct MosCorrelation {
     double pearson{0.0};
     double spearman{0.0};
@@ -231,23 +308,14 @@ class CorrelationEngine {
   };
   [[nodiscard]] std::optional<MosCorrelation> mos_correlation(
       EngagementMetric engagement, std::size_t min_samples = 50,
-      QueryFanoutStats* fanout = nullptr) const;
+      QueryFanoutStats* fanout = nullptr,
+      const ShardSelector& selector = {}) const;
 
-  /// Per-query session tallies: counts, observed-MOS sum over rated
-  /// sessions, and (when `predictor` is set) predicted-MOS sum over every
-  /// matching session — the fan-out behind QueryService::run.
-  struct Tally {
-    std::size_t sessions{0};
-    std::size_t rated{0};
-    double observed_mos_sum{0.0};
-    double predicted_mos_sum{0.0};
-    std::size_t predicted{0};
-  };
-  [[nodiscard]] Tally tally(
-      const ParticipantFilter& filter, const ShardSelector& selector,
-      const std::function<double(const confsim::ParticipantRecord&)>&
-          predictor = nullptr,
-      QueryFanoutStats* fanout = nullptr) const;
+  /// Per-query session tallies (see Tally) over the filtered selection.
+  [[nodiscard]] Tally tally(const ParticipantFilter& filter,
+                            const ShardSelector& selector,
+                            const RowPredictor& predictor = nullptr,
+                            QueryFanoutStats* fanout = nullptr) const;
 
   /// Materializes every stored session in shard-key order (a copy; the
   /// sharded store has no single contiguous buffer). Prefer the query

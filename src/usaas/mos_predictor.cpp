@@ -9,7 +9,7 @@ namespace usaas::service {
 
 MosPredictor::MosPredictor(MosPredictorConfig config) : config_{config} {}
 
-std::vector<double> MosPredictor::features(
+std::array<double, MosPredictor::kNumFeatures> MosPredictor::features(
     const confsim::ParticipantRecord& rec) {
   const auto c = rec.network.mean_conditions();
   return {rec.presence_pct, rec.cam_on_pct,   rec.mic_on_pct,
@@ -88,6 +88,55 @@ double MosPredictor::predict(const confsim::ParticipantRecord& rec) const {
   const auto f = features(rec);
   const double raw = model_.predict(f);
   return core::clamp_mos(core::Mos{raw}).score();
+}
+
+void MosPredictor::predict_rows(const SessionColumns& cols,
+                                const std::uint32_t* rows, std::size_t n,
+                                double* out) const {
+  if (!trained_) throw std::logic_error("MosPredictor: not trained");
+  // features() order: the session-mean column is exactly what
+  // mean_conditions() reads row-wise (see SessionColumns::mean_column).
+  const double* x0 = cols.presence.data();
+  const double* x1 = cols.cam_on.data();
+  const double* x2 = cols.mic_on.data();
+  const double* x3 = cols.latency_mean.data();
+  const double* x4 = cols.loss_mean.data();
+  const double* x5 = cols.jitter_mean.data();
+  const double* x6 = cols.bandwidth_mean.data();
+  const std::span<const double> coef = model_.coefficients();
+  const double b0 = model_.intercept();
+  const double c0 = coef[0], c1 = coef[1], c2 = coef[2], c3 = coef[3],
+               c4 = coef[4], c5 = coef[5], c6 = coef[6];
+  // LinearModel::predict's sequence: intercept, then coef * feature added
+  // left to right — one rounding per multiply and per add, in that order.
+  const auto one = [&](std::size_t r) {
+    double acc = b0;
+    acc += c0 * x0[r];
+    acc += c1 * x1[r];
+    acc += c2 * x2[r];
+    acc += c3 * x3[r];
+    acc += c4 * x4[r];
+    acc += c5 * x5[r];
+    acc += c6 * x6[r];
+    return core::clamp_mos(core::Mos{acc}).score();
+  };
+  if (rows == nullptr) {
+    for (std::size_t j = 0; j < n; ++j) out[j] = one(j);
+  } else {
+    for (std::size_t j = 0; j < n; ++j) out[j] = one(rows[j]);
+  }
+}
+
+void RowPredictor::predict_rows(const SessionColumns& cols,
+                                const std::uint32_t* rows, std::size_t n,
+                                double* out) const {
+  if (model_ != nullptr) {
+    model_->predict_rows(cols, rows, n, out);
+    return;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    out[j] = fn_(cols.record(rows == nullptr ? j : rows[j]));
+  }
 }
 
 MosEvaluation MosPredictor::evaluate(

@@ -8,11 +8,18 @@
 // against two baselines (constant mean; network-metrics-only).
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "confsim/call.h"
 #include "core/regression.h"
+#include "usaas/session_columns.h"
 
 namespace usaas::service {
 
@@ -54,19 +61,57 @@ class MosPredictor {
   /// Predicts MOS for any session (rated or not).
   [[nodiscard]] double predict(const confsim::ParticipantRecord& rec) const;
 
+  /// The 7-column prediction kernel: out[j] = predict(cols.record(r)) for
+  /// the j-th row r of `rows` (the identity 0..n-1 when rows is null). It
+  /// reads the engagement and session-mean metric columns directly, with
+  /// predict()'s feature order, add order and clamp, so every value is
+  /// bit-identical to predict() on the materialized record.
+  void predict_rows(const SessionColumns& cols, const std::uint32_t* rows,
+                    std::size_t n, double* out) const;
+
   /// Train/test evaluation with baselines.
   [[nodiscard]] MosEvaluation evaluate(
       std::span<const confsim::ParticipantRecord> sessions) const;
 
   /// The 7 features: presence, cam, mic, latency, loss, jitter, bandwidth.
   static constexpr std::size_t kNumFeatures = 7;
-  [[nodiscard]] static std::vector<double> features(
+  [[nodiscard]] static std::array<double, kNumFeatures> features(
       const confsim::ParticipantRecord& rec);
 
  private:
   MosPredictorConfig config_;
   core::LinearModel model_;
   bool trained_{false};
+};
+
+/// Per-row MOS prediction over a column store, as query plans and summary
+/// refreshes consume it: a trained MosPredictor runs as its 7-column
+/// kernel; any other callable sees each row materialized as a record.
+/// Holds a MosPredictor by reference (it must outlive this object).
+class RowPredictor {
+ public:
+  RowPredictor() = default;
+  RowPredictor(std::nullptr_t) {}  // NOLINT: "no predictor", like nullptr
+  RowPredictor(const MosPredictor& model)  // NOLINT: implicit by design
+      : model_{&model} {}
+  template <typename F>
+    requires std::is_invocable_r_v<double, const F&,
+                                   const confsim::ParticipantRecord&>
+  RowPredictor(F fn)  // NOLINT: implicit, so callers pass lambdas directly
+      : fn_{std::move(fn)} {}
+
+  /// False for "no predictor" (default, nullptr, or an empty function).
+  explicit operator bool() const {
+    return model_ != nullptr || static_cast<bool>(fn_);
+  }
+
+  /// Predictions for rows of `cols`, in MosPredictor::predict_rows' shape.
+  void predict_rows(const SessionColumns& cols, const std::uint32_t* rows,
+                    std::size_t n, double* out) const;
+
+ private:
+  const MosPredictor* model_{nullptr};
+  std::function<double(const confsim::ParticipantRecord&)> fn_;
 };
 
 }  // namespace usaas::service

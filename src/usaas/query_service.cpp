@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <utility>
 
+#include "core/correlation.h"
 #include "core/flat_index.h"
+#include "core/stats.h"
 #include "core/telemetry/exposition.h"
 #include "core/timeseries.h"
 
@@ -15,6 +17,10 @@ namespace usaas::service {
 namespace {
 
 using core::month_key;
+
+/// Rated sessions a query must select before its Insight carries a MOS
+/// correlation (CorrelationEngine::mos_correlation's default).
+constexpr std::size_t kMinCorrelationSamples = 50;
 
 [[nodiscard]] double seconds_between(
     std::chrono::steady_clock::time_point a,
@@ -372,10 +378,10 @@ bool QueryService::train_predictor() {
   // Refresh the summaries' predicted-MOS sums under the same write lock,
   // so tally() can answer predicted aggregates without re-running the
   // predictor over every session on each query.
-  engine_.refresh_predicted_tallies(
-      [this](const confsim::ParticipantRecord& rec) {
-        return predictor_.predict(rec);
-      });
+  engine_.refresh_predicted_tallies(predictor_);
+  // A retrain is where a backfilled corpus settles, and this write lock
+  // is already held: return the columns' growth slack here.
+  engine_.shrink_to_fit();
   bump_version();
   return true;
 }
@@ -617,47 +623,49 @@ Insight QueryService::compute_insight(const Query& query,
   };
   Insight insight;
   insight.corpus_version = version;
-  // This query's session-engine fan-out, accumulated by the engine calls
-  // below (the engine's cumulative counters are bumped as before).
-  QueryFanoutStats fanout;
+  if (budget.expired()) return expired_skeleton();
 
+  // ---- Implicit side: the whole query as one compiled per-shard plan ----
   // The access restriction rides in the selector (a structural per-record
   // predicate), not an opaque ParticipantFilter — that keeps access
   // queries summary-answerable from the per-access buckets.
-  const ShardSelector selector{query.first, query.last, query.platform,
-                               query.access};
-  const ParticipantFilter filter;  // none: every restriction is structural
+  CorrelationEngine::PlanSpec plan;
+  plan.selector = {query.first, query.last, query.platform, query.access};
+  plan.sweep.metric = query.metric;
+  plan.sweep.lo = query.metric_lo;
+  plan.sweep.hi = query.metric_hi;
+  plan.sweep.bins = query.bins;
+  plan.sweep.control_others = false;  // queries want the full population
+  plan.curves = {EngagementMetric::kPresence, EngagementMetric::kCamOn,
+                 EngagementMetric::kMicOn};
+  plan.tally = true;
+  if (predictor_trained_) plan.predictor = predictor_;
+  plan.rated = true;
+  plan.timed = span != nullptr && telemetry_->enabled();
+  plan.expired = [&budget] { return budget.expired(); };
+  CorrelationEngine::PlanResult result = engine_.execute(plan);
+  if (result.expired) return expired_skeleton();
+  insight.engagement = std::move(result.curves);
 
-  // ---- Implicit side: fan the binning + tallies across shards ----
-  SweepSpec spec;
-  spec.metric = query.metric;
-  spec.lo = query.metric_lo;
-  spec.hi = query.metric_hi;
-  spec.bins = query.bins;
-  spec.control_others = false;  // queries want the full population view
-  for (const EngagementMetric m :
-       {EngagementMetric::kPresence, EngagementMetric::kCamOn,
-        EngagementMetric::kMicOn}) {
-    // Phase boundary: each engagement sweep fans out across every
-    // selected session shard, so this is the natural grain to abandon
-    // an expired run at without tearing a sweep in half.
-    if (budget.expired()) return expired_skeleton();
-    insight.engagement.push_back(
-        engine_.engagement_curve(spec, m, filter, selector, &fanout));
-    if (const auto corr = engine_.mos_correlation(m, 50, &fanout)) {
-      insight.mos_spearman.emplace_back(m, corr->spearman);
+  // MOS correlation, once per query, over exactly the rated sessions the
+  // plan selected: MOS is ranked once and shared by the three Spearmans.
+  const auto mos_start = plan.timed ? std::chrono::steady_clock::now()
+                                    : std::chrono::steady_clock::time_point{};
+  const CorrelationEngine::RatedRows& rated = result.rated;
+  if (rated.mos.size() >= kMinCorrelationSamples) {
+    const std::vector<double> mos_ranks = core::ranks(rated.mos);
+    for (const EngagementMetric m : plan.curves) {
+      insight.mos_spearman.emplace_back(
+          m, core::spearman_with_ranks(
+                 rated.engagement[static_cast<std::size_t>(m)], mos_ranks));
     }
   }
-  if (budget.expired()) return expired_skeleton();
-
-  std::function<double(const confsim::ParticipantRecord&)> predict;
-  if (predictor_trained_) {
-    predict = [this](const confsim::ParticipantRecord& rec) {
-      return predictor_.predict(rec);
-    };
+  if (plan.timed) {
+    insight.execution.mos_seconds =
+        seconds_between(mos_start, std::chrono::steady_clock::now());
   }
-  const CorrelationEngine::Tally tally =
-      engine_.tally(filter, selector, predict, &fanout);
+
+  const CorrelationEngine::Tally& tally = result.tally;
   insight.sessions = tally.sessions;
   insight.rated_sessions = tally.rated;
   if (tally.rated > 0) {
@@ -668,8 +676,11 @@ Insight QueryService::compute_insight(const Query& query,
     insight.predicted_mean_mos =
         tally.predicted_mos_sum / static_cast<double>(tally.predicted);
   }
-  insight.execution.shards_from_summary = fanout.shards_from_summary;
-  insight.execution.shards_scanned = fanout.shards_scanned;
+  insight.execution.shards_from_summary = result.fanout.shards_from_summary;
+  insight.execution.shards_scanned = result.fanout.shards_scanned;
+  insight.execution.select_seconds = result.timings.select_seconds;
+  insight.execution.fold_seconds = result.timings.fold_seconds;
+  insight.execution.tally_seconds = result.timings.tally_seconds;
   if (span != nullptr) {
     insight.execution.implicit_seconds = span->lap(phase_implicit_);
   }

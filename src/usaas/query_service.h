@@ -133,8 +133,9 @@ enum class ServedBy {
 /// Remaining-time budget the admission layer propagates into run(): the
 /// absolute clock-seconds instant after which continuing the computation
 /// is pointless (the client has already timed out). compute_insight
-/// checks it cooperatively at phase boundaries — between engagement
-/// sweeps, before the tally, and per shard inside the social fan-out —
+/// checks it cooperatively at phase boundaries — before the plan, before
+/// and after its fold, before the social side, and per shard inside the
+/// social fan-out —
 /// and abandons the run with QueryError::kDeadlineExceeded instead of
 /// burning pool time on an answer nobody is waiting for. An abandoned
 /// run returns a fresh skeleton Insight (never a torn partial) and is
@@ -163,7 +164,8 @@ struct QueryExecution {
   ServedBy served_by{ServedBy::kScan};
   bool cache_hit{false};
   double seconds{0.0};
-  /// Session-engine shard visits (engagement curves + MOS + tally).
+  /// Session-engine shard visits of the query's one plan: each selected
+  /// shard counts once, as scanned when any of its rows were read.
   std::uint64_t shards_from_summary{0};
   std::uint64_t shards_scanned{0};
   /// Social-side post-shard visits.
@@ -179,6 +181,13 @@ struct QueryExecution {
   double cache_probe_seconds{0.0};
   double implicit_seconds{0.0};
   double social_seconds{0.0};
+  /// The implicit lap split by plan phase (CorrelationEngine::PlanTimings
+  /// plus the MOS correlation); they sum to implicit_seconds up to the
+  /// few instructions between laps.
+  double select_seconds{0.0};  ///< shard selection + phase-1 row selection
+  double fold_seconds{0.0};    ///< the one phase-2 fold + summary merges
+  double tally_seconds{0.0};   ///< predicted-MOS kernel over the survivors
+  double mos_seconds{0.0};     ///< Spearman over the selected rated rows
 };
 
 /// The aggregated answer.
@@ -316,7 +325,8 @@ class QueryService {
   /// Trains the MOS predictor on everything ingested so far. Returns false
   /// — leaving the service in a defined untrained state, never a stale or
   /// partial one — when fewer than 30 rated sessions exist (including
-  /// before any ingest). Safe to call repeatedly.
+  /// before any ingest). Safe to call repeatedly. A successful retrain
+  /// also drops the session columns' unused growth capacity.
   bool train_predictor();
   [[nodiscard]] bool predictor_trained() const {
     const auto guard = sync_->lock.read();

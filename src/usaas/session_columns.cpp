@@ -46,6 +46,10 @@ void SessionColumns::reserve(std::size_t n) {
   for_each_column(*this, [n](auto& col) { col.reserve(n); });
 }
 
+void SessionColumns::shrink_to_fit() {
+  for_each_column(*this, [](auto& col) { col.shrink_to_fit(); });
+}
+
 void SessionColumns::append(const core::Date& date,
                             const confsim::ParticipantRecord& rec) {
   const std::size_t i = size();

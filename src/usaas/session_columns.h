@@ -101,6 +101,16 @@ class PodColumn {
     size_ = n;
   }
 
+  /// Drops unused capacity (one exact-size copy).
+  void shrink_to_fit() {
+    if (capacity_ == size_) return;
+    T* exact = size_ > 0 ? new T[size_] : nullptr;
+    if (size_ > 0) std::memcpy(exact, data_, size_ * sizeof(T));
+    delete[] data_;
+    data_ = exact;
+    capacity_ = size_;
+  }
+
   void push_back(T v) {
     reserve(size_ + 1);
     data_[size_++] = v;
@@ -139,6 +149,8 @@ class SessionColumns {
   /// (the ingest scatter fills them); keeps columns in lock-step.
   void resize_uninit(std::size_t n);
   void reserve(std::size_t n);
+  /// Drops every column's unused growth capacity.
+  void shrink_to_fit();
 
   /// Appends one row (the per-record ingest path).
   void append(const core::Date& date, const confsim::ParticipantRecord& rec);

@@ -55,7 +55,7 @@ void ShardSummary::fold(const confsim::ParticipantRecord& rec) {
     ++all_.rated;
     by_access_[access].observed_mos_sum += score;
     ++by_access_[access].rated;
-    rated_.push_back({eng, score});
+    rated_.push_back({eng, score, static_cast<std::uint8_t>(access)});
   }
 }
 
@@ -98,7 +98,7 @@ void ShardSummary::fold(const SessionColumns& cols, std::size_t begin,
       ++all_.rated;
       by_access_[access].observed_mos_sum += score;
       ++by_access_[access].rated;
-      rated_.push_back({eng, score});
+      rated_.push_back({eng, score, static_cast<std::uint8_t>(access)});
     }
   }
 }
@@ -158,10 +158,8 @@ const SummaryTally& ShardSummary::tally(
   return access ? by_access_[static_cast<std::size_t>(*access)] : all_;
 }
 
-void ShardSummary::refresh_predicted(
-    const SessionColumns& cols,
-    const std::function<double(const confsim::ParticipantRecord&)>&
-        predictor) {
+void ShardSummary::refresh_predicted(const SessionColumns& cols,
+                                     const RowPredictor& predictor) {
   all_.predicted_mos_sum = 0.0;
   all_.predicted = 0;
   for (SummaryTally& t : by_access_) {
@@ -169,12 +167,14 @@ void ShardSummary::refresh_predicted(
     t.predicted = 0;
   }
   if (!predictor) return;
-  // Row order, so the per-shard sums replay exactly what the scan path
-  // would accumulate for an unfiltered (or access-filtered) tally. The
-  // predictor is opaque, so rows materialize back into full records.
+  // The query plan's prediction kernel, then sums in row order: the
+  // per-shard sums replay exactly what a scan accumulates for an
+  // unfiltered (or access-filtered) tally.
+  std::vector<double> predicted(cols.size());
+  predictor.predict_rows(cols, nullptr, cols.size(), predicted.data());
   const std::uint8_t* access_col = cols.access.data();
   for (std::size_t i = 0; i < cols.size(); ++i) {
-    const double p = predictor(cols.record(i));
+    const double p = predicted[i];
     all_.predicted_mos_sum += p;
     ++all_.predicted;
     SummaryTally& bucket = by_access_[access_col[i]];

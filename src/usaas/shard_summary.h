@@ -30,7 +30,7 @@
 
 #include <array>
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -39,6 +39,7 @@
 #include "core/histogram.h"
 #include "netsim/conditions.h"
 #include "netsim/profiles.h"
+#include "usaas/mos_predictor.h"
 #include "usaas/session_columns.h"
 #include "usaas/signals.h"
 
@@ -94,11 +95,15 @@ struct SummaryTally {
   }
 };
 
-/// A rated session reduced to what mos_correlation consumes, kept in
+/// A rated session reduced to what the MOS correlation consumes, kept in
 /// ingest order so the summary gather replays the scan gather exactly.
+/// `access` lets an access-filtered query keep only its own rows; no day
+/// key is needed, because a summary only answers a query whose window
+/// covers the shard's whole month.
 struct RatedSample {
   std::array<double, kNumEngagementMetrics> engagement{};
   double mos{0.0};
+  std::uint8_t access{0};  // netsim::AccessTechnology
 };
 
 class ShardSummary {
@@ -149,10 +154,9 @@ class ShardSummary {
 
   /// Recomputes predicted-MOS sums over this shard's column store, in
   /// row order, with `predictor`; called under the corpus write lock
-  /// after a retrain. Clears them when `predictor` is null.
+  /// after a retrain. Clears them when `predictor` is empty.
   void refresh_predicted(const SessionColumns& cols,
-                         const std::function<double(
-                             const confsim::ParticipantRecord&)>& predictor);
+                         const RowPredictor& predictor);
 
   [[nodiscard]] std::size_t sessions() const { return all_.sessions; }
 

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -526,6 +527,47 @@ TEST(QueryExecutionReport, BoundaryWindowIsMixedAndNoSummariesIsScan) {
   EXPECT_EQ(scanned.execution.served_by, ServedBy::kScan);
   EXPECT_EQ(scanned.execution.shards_from_summary, 0u);
   EXPECT_GT(scanned.execution.shards_scanned, 0u);
+}
+
+TEST(QueryExecutionReport, EachSelectedShardCountsOncePerQuery) {
+  // A non-axis (7-bin) window cut into both ends of February: the query's
+  // one plan selects February's four platform shards and scans each once.
+  // The per-query report, the cumulative fan-out counters and the
+  // per-shard touch counters all see four scans — not one per engine
+  // pass — and nothing was merged from a summary anywhere, so the path is
+  // a plain scan.
+  Registry reg{true};
+  const QueryService service = make_service(&reg);
+  Query q = summary_query();
+  q.first = Date(2022, 2, 5);
+  q.last = Date(2022, 2, 20);
+  q.bins = 7;
+  const Insight insight = service.run(q);
+  EXPECT_EQ(insight.execution.served_by, ServedBy::kScan);
+  EXPECT_EQ(insight.execution.shards_scanned, 4u);
+  EXPECT_EQ(insight.execution.shards_from_summary, 0u);
+  EXPECT_EQ(insight.execution.post_shards_scanned, 1u);
+  EXPECT_EQ(insight.execution.post_shards_from_summary, 0u);
+  const QueryFanoutStats fanout = service.stats().fanout;
+  EXPECT_EQ(fanout.shards_scanned, 4u);
+  EXPECT_EQ(fanout.shards_from_summary, 0u);
+
+  std::size_t scan_rows = 0;
+  std::istringstream text{service.metrics_text()};
+  for (std::string line; std::getline(text, line);) {
+    if (line.rfind("usaas_shard_touches_total{corpus=\"sessions\"", 0) != 0) {
+      continue;
+    }
+    const std::string value = line.substr(line.rfind(' ') + 1);
+    if (line.find("source=\"scan\"") != std::string::npos) {
+      EXPECT_EQ(value, line.find("2022-02/") != std::string::npos ? "1" : "0")
+          << line;
+      scan_rows += line.find("2022-02/") != std::string::npos ? 1 : 0;
+    } else {
+      EXPECT_EQ(value, "0") << line;
+    }
+  }
+  EXPECT_EQ(scan_rows, 4u);
 }
 
 TEST(QueryExecutionReport, InvalidQueryIsReported) {

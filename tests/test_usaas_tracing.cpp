@@ -399,12 +399,13 @@ TEST(SchedulerTracing, EveryOutcomeHasExactlyOneTraceUnderAllSampling) {
     const auto path = static_cast<tel::TracePath>(rec.served_by);
     switch (outcome) {
       case tel::TraceOutcome::kAdmitted:
-        // Month-aligned window: the time bins merge summaries; the
-        // post-grouping signals may still scan, which reports as mixed.
-        EXPECT_TRUE(path == tel::TracePath::kSummaryMerge ||
-                    path == tel::TracePath::kMixed)
+        // Month-aligned window, but 4 bins match no summary axis: the
+        // query's one plan reads every selected session shard's rows, and
+        // each shard counts once, as scanned (no posts are ingested).
+        EXPECT_EQ(path, tel::TracePath::kScan)
             << static_cast<int>(rec.served_by);
-        EXPECT_GT(rec.shards_from_summary, 0u);
+        EXPECT_GT(rec.shards_scanned, 0u);
+        EXPECT_EQ(rec.shards_from_summary, 0u);
         break;
       case tel::TraceOutcome::kDegraded:
         EXPECT_EQ(path, tel::TracePath::kCache);
