@@ -6,9 +6,11 @@
 #      shard equivalence, two-pass batch ingest, streaming ingest + fault
 #      injection, insight cache + shard summaries) plus the differential
 #      NLP harness, `ctest -L sanitize`;
-#   3. AddressSanitizer build of the streaming/fault-injection suites —
-#      the paths that stage, evict, quarantine and retry buffers are the
-#      ones where a lifetime bug would hide — same `ctest -L sanitize`.
+#   3. AddressSanitizer + UBSan build of the same suites plus the
+#      histogram and merge-property tests — the paths that stage, evict,
+#      quarantine and retry buffers are the ones where a lifetime bug
+#      would hide, and a NaN or out-of-range float-to-index cast aborts
+#      the test — same `ctest -L sanitize`.
 #   4. telemetry overhead gate: the throughput bench (reduced corpus)
 #      compares a live metrics registry against the USAAS_TELEMETRY=off
 #      kill switch and fails if batch-ingest overhead exceeds 5% (the
@@ -77,6 +79,8 @@ SANITIZE_TARGETS=(
   test_telemetry
   test_usaas_tracing
   test_nlp_differential
+  test_histogram
+  test_merge_properties
 )
 
 echo "==> tier-1: configure + build (${JOBS} jobs)"

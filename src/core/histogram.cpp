@@ -9,19 +9,19 @@ Binner1D::Binner1D(double lo, double hi, std::size_t bins)
     : lo_{lo}, hi_{hi}, width_{(hi - lo) / static_cast<double>(bins)} {
   if (!(lo < hi)) throw std::invalid_argument("Binner1D: lo must be < hi");
   if (bins == 0) throw std::invalid_argument("Binner1D: bins must be >= 1");
-  stats_.resize(bins);
+  cells_.resize(bins);
 }
 
 std::vector<Bin> Binner1D::bins() const {
   std::vector<Bin> out;
-  out.reserve(stats_.size());
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    if (stats_[i].empty()) continue;
+  out.reserve(cells_.size());
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    if (cells_[i].empty()) continue;
     Bin b;
     b.lo = lo_ + width_ * static_cast<double>(i);
     b.hi = b.lo + width_;
-    b.count = stats_[i].count();
-    b.mean_y = stats_[i].mean();
+    b.count = cells_[i].n;
+    b.mean_y = cells_[i].mean();
     out.push_back(b);
   }
   return out;
@@ -33,17 +33,13 @@ std::vector<std::pair<double, double>> Binner1D::curve() const {
   return out;
 }
 
-const RunningStats& Binner1D::bin_stats(std::size_t i) const {
-  return stats_.at(i);
-}
-
 void Binner1D::merge(const Binner1D& other) {
   if (other.lo_ != lo_ || other.hi_ != hi_ ||
-      other.stats_.size() != stats_.size()) {
+      other.cells_.size() != cells_.size()) {
     throw std::invalid_argument("Binner1D::merge: layout mismatch");
   }
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    stats_[i].merge(other.stats_[i]);
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    cells_[i].merge(other.cells_[i]);
   }
   total_ += other.total_;
 }
@@ -51,47 +47,47 @@ void Binner1D::merge(const Binner1D& other) {
 Grid2D::Grid2D(double x_lo, double x_hi, std::size_t x_bins,
                double y_lo, double y_hi, std::size_t y_bins)
     : x_lo_{x_lo}, x_hi_{x_hi}, y_lo_{y_lo}, y_hi_{y_hi},
-      x_bins_{x_bins}, y_bins_{y_bins} {
+      x_bins_{x_bins}, y_bins_{y_bins},
+      x_width_{(x_hi - x_lo) / static_cast<double>(x_bins)},
+      y_width_{(y_hi - y_lo) / static_cast<double>(y_bins)} {
   if (!(x_lo < x_hi) || !(y_lo < y_hi)) {
     throw std::invalid_argument("Grid2D: lo must be < hi");
   }
   if (x_bins == 0 || y_bins == 0) {
     throw std::invalid_argument("Grid2D: bins must be >= 1");
   }
-  stats_.resize(x_bins * y_bins);
+  cells_.resize(x_bins * y_bins);
 }
 
 void Grid2D::add(double x, double y, double value) {
-  if (x < x_lo_ || x >= x_hi_ || y < y_lo_ || y >= y_hi_) return;
-  const double xw = (x_hi_ - x_lo_) / static_cast<double>(x_bins_);
-  const double yw = (y_hi_ - y_lo_) / static_cast<double>(y_bins_);
-  auto xi = std::min(static_cast<std::size_t>((x - x_lo_) / xw), x_bins_ - 1);
-  auto yi = std::min(static_cast<std::size_t>((y - y_lo_) / yw), y_bins_ - 1);
-  stats_[index(xi, yi)].add(value);
+  if (!(x >= x_lo_ && x < x_hi_ && y >= y_lo_ && y < y_hi_)) return;
+  const auto xi =
+      std::min(static_cast<std::size_t>((x - x_lo_) / x_width_), x_bins_ - 1);
+  const auto yi =
+      std::min(static_cast<std::size_t>((y - y_lo_) / y_width_), y_bins_ - 1);
+  cells_[index(xi, yi)].add(value);
 }
 
 std::optional<double> Grid2D::cell_mean(std::size_t xi, std::size_t yi) const {
-  const auto& s = stats_.at(index(xi, yi));
-  if (s.empty()) return std::nullopt;
-  return s.mean();
+  const BinCell& c = cells_.at(index(xi, yi));
+  if (c.empty()) return std::nullopt;
+  return c.mean();
 }
 
 std::size_t Grid2D::cell_count(std::size_t xi, std::size_t yi) const {
-  return stats_.at(index(xi, yi)).count();
+  return cells_.at(index(xi, yi)).n;
 }
 
 std::vector<GridCell> Grid2D::cells() const {
   std::vector<GridCell> out;
-  const double xw = (x_hi_ - x_lo_) / static_cast<double>(x_bins_);
-  const double yw = (y_hi_ - y_lo_) / static_cast<double>(y_bins_);
   for (std::size_t yi = 0; yi < y_bins_; ++yi) {
     for (std::size_t xi = 0; xi < x_bins_; ++xi) {
-      const auto& s = stats_[index(xi, yi)];
+      const BinCell& s = cells_[index(xi, yi)];
       if (s.empty()) continue;
       GridCell c;
-      c.x_center = x_lo_ + xw * (static_cast<double>(xi) + 0.5);
-      c.y_center = y_lo_ + yw * (static_cast<double>(yi) + 0.5);
-      c.count = s.count();
+      c.x_center = x_lo_ + x_width_ * (static_cast<double>(xi) + 0.5);
+      c.y_center = y_lo_ + y_width_ * (static_cast<double>(yi) + 0.5);
+      c.count = s.n;
       c.mean_value = s.mean();
       out.push_back(c);
     }
@@ -101,9 +97,9 @@ std::vector<GridCell> Grid2D::cells() const {
 
 std::optional<double> Grid2D::max_cell_mean() const {
   std::optional<double> best;
-  for (const auto& s : stats_) {
-    if (s.empty()) continue;
-    if (!best || s.mean() > *best) best = s.mean();
+  for (const BinCell& c : cells_) {
+    if (c.empty()) continue;
+    if (!best || c.mean() > *best) best = c.mean();
   }
   return best;
 }
@@ -114,16 +110,16 @@ void Grid2D::merge(const Grid2D& other) {
       other.y_bins_ != y_bins_) {
     throw std::invalid_argument("Grid2D::merge: layout mismatch");
   }
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    stats_[i].merge(other.stats_[i]);
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    cells_[i].merge(other.cells_[i]);
   }
 }
 
 std::optional<double> Grid2D::min_cell_mean() const {
   std::optional<double> worst;
-  for (const auto& s : stats_) {
-    if (s.empty()) continue;
-    if (!worst || s.mean() < *worst) worst = s.mean();
+  for (const BinCell& c : cells_) {
+    if (c.empty()) continue;
+    if (!worst || c.mean() < *worst) worst = c.mean();
   }
   return worst;
 }

@@ -3,18 +3,38 @@
 // The paper plots "engagement metric (mean over sessions) vs network
 // metric, binned": Binner1D collects (x, y) pairs into fixed-width x-bins
 // and reports the per-bin mean/count. Grid2D does the same over a 2-D
-// (latency x loss) grid for Fig 2's compounding heat map.
+// (latency x loss) grid for Fig 2's compounding heat map. Each bin keeps
+// only an exact count and a running sum; the mean is divided out when a
+// result is reported, so an add is one increment and one addition.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <optional>
-#include <span>
+#include <utility>
 #include <vector>
 
-#include "core/stats.h"
-
 namespace usaas::core {
+
+/// One bin's state: the observation count and the sum of its values.
+/// Merging two cells adds both fields, so counts are exact in any order
+/// and sums of integer-valued observations are too.
+struct BinCell {
+  std::size_t n{0};
+  double sum{0.0};
+
+  void add(double y) {
+    ++n;
+    sum += y;
+  }
+  void merge(const BinCell& other) {
+    n += other.n;
+    sum += other.sum;
+  }
+  [[nodiscard]] bool empty() const { return n == 0; }
+  /// Requires !empty().
+  [[nodiscard]] double mean() const { return sum / static_cast<double>(n); }
+};
 
 /// One populated bin of a Binner1D.
 struct Bin {
@@ -36,32 +56,35 @@ class Binner1D {
   /// methodology clamps each sweep to a fixed metric window).
   void add(double x, double y) { add_to_bin(bin_of(x), y); }
 
-  /// The bin add(x, ·) would feed, or bin_count() when it would ignore x.
-  /// Lets a caller bin x once and feed several binners of this layout.
+  /// The bin add(x, ·) would feed, or bin_count() when it would ignore x
+  /// (outside [lo, hi), or NaN). Lets a caller bin x once and feed several
+  /// binners of this layout.
   [[nodiscard]] std::size_t bin_of(double x) const {
-    if (x < lo_ || x >= hi_) return stats_.size();
+    if (!(x >= lo_ && x < hi_)) return cells_.size();
     const auto idx = static_cast<std::size_t>((x - lo_) / width_);
-    return std::min(idx, stats_.size() - 1);  // float rounding at hi edge
+    return std::min(idx, cells_.size() - 1);  // float rounding at hi edge
   }
 
   /// add() with a precomputed bin_of(x); an out-of-range bin is ignored.
   void add_to_bin(std::size_t bin, double y) {
-    if (bin >= stats_.size()) return;
-    stats_[bin].add(y);
+    if (bin >= cells_.size()) return;
+    cells_[bin].add(y);
     ++total_;
   }
 
-  [[nodiscard]] std::size_t bin_count() const { return stats_.size(); }
+  [[nodiscard]] std::size_t bin_count() const { return cells_.size(); }
   [[nodiscard]] std::size_t total_added() const { return total_; }
+
+  /// Heap bytes held by the bins.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return cells_.size() * sizeof(BinCell);
+  }
 
   /// Per-bin results; empty bins are omitted.
   [[nodiscard]] std::vector<Bin> bins() const;
 
   /// The curve as (bin center, mean y) for non-empty bins — ready to print.
   [[nodiscard]] std::vector<std::pair<double, double>> curve() const;
-
-  /// Per-bin full accumulator, for callers that need stddev/count too.
-  [[nodiscard]] const RunningStats& bin_stats(std::size_t i) const;
 
   /// Merges another binner with the same [lo, hi) x bins layout (parallel
   /// shard reduction); throws std::invalid_argument on layout mismatch.
@@ -72,7 +95,7 @@ class Binner1D {
   double hi_;
   double width_;
   std::size_t total_{0};
-  std::vector<RunningStats> stats_;
+  std::vector<BinCell> cells_;
 };
 
 /// One cell of a Grid2D.
@@ -89,11 +112,17 @@ class Grid2D {
   Grid2D(double x_lo, double x_hi, std::size_t x_bins,
          double y_lo, double y_hi, std::size_t y_bins);
 
-  /// Adds an observation; coordinates outside the grid are ignored.
+  /// Adds an observation; coordinates outside the grid (or NaN) are
+  /// ignored.
   void add(double x, double y, double value);
 
   [[nodiscard]] std::size_t x_bins() const { return x_bins_; }
   [[nodiscard]] std::size_t y_bins() const { return y_bins_; }
+
+  /// Heap bytes held by the cells.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return cells_.size() * sizeof(BinCell);
+  }
 
   /// Mean value in cell (xi, yi); nullopt when the cell is empty.
   [[nodiscard]] std::optional<double> cell_mean(std::size_t xi,
@@ -120,7 +149,8 @@ class Grid2D {
 
   double x_lo_, x_hi_, y_lo_, y_hi_;
   std::size_t x_bins_, y_bins_;
-  std::vector<RunningStats> stats_;
+  double x_width_, y_width_;
+  std::vector<BinCell> cells_;
 };
 
 }  // namespace usaas::core

@@ -58,44 +58,6 @@ double max_value(std::span<const double> xs) {
   return *std::max_element(xs.begin(), xs.end());
 }
 
-double RunningStats::mean() const {
-  if (n_ == 0) throw std::logic_error("RunningStats::mean on empty");
-  return mean_;
-}
-
-double RunningStats::variance() const {
-  if (n_ == 0) throw std::logic_error("RunningStats::variance on empty");
-  return m2_ / static_cast<double>(n_);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const {
-  if (n_ == 0) throw std::logic_error("RunningStats::min on empty");
-  return min_;
-}
-
-double RunningStats::max() const {
-  if (n_ == 0) throw std::logic_error("RunningStats::max on empty");
-  return max_;
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n = static_cast<double>(n_);
-  const auto m = static_cast<double>(other.n_);
-  mean_ += delta * m / (n + m);
-  m2_ += other.m2_ + delta * delta * n * m / (n + m);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 std::optional<Summary> summarize(std::span<const double> xs) {
   if (xs.empty()) return std::nullopt;
   Summary s;

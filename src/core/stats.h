@@ -6,7 +6,6 @@
 // those aggregations plus the usual moments.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <span>
@@ -33,45 +32,6 @@ namespace usaas::core {
 
 [[nodiscard]] double min_value(std::span<const double> xs);
 [[nodiscard]] double max_value(std::span<const double> xs);
-
-/// Streaming accumulator (Welford) for mean/variance plus min/max; used by
-/// the telemetry clients that cannot buffer every sample.
-class RunningStats {
- public:
-  /// Welford update. Inline: scan kernels call it once per row and bin.
-  void add(double x) {
-    if (n_ == 0) {
-      min_ = max_ = x;
-    } else {
-      min_ = std::min(min_, x);
-      max_ = std::max(max_, x);
-    }
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-  }
-
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] bool empty() const { return n_ == 0; }
-
-  /// All of these require count() > 0 and throw std::logic_error otherwise.
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double variance() const;  // population
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-
-  /// Merges another accumulator (parallel Welford combine).
-  void merge(const RunningStats& other);
-
- private:
-  std::size_t n_{0};
-  double mean_{0.0};
-  double m2_{0.0};
-  double min_{0.0};
-  double max_{0.0};
-};
 
 /// Five-number-style summary of a sample, the unit the session aggregator
 /// reports per network metric.

@@ -197,8 +197,7 @@ struct ControlColumns {
 /// the widened drop-off byte into binners[kCurves] when `dropped` is set
 /// (exactly the `dropped_early ? 1.0 : 0.0` the row scan fed). `control`,
 /// when set, gates rows the way the confounder refine did. The curve
-/// count is a template argument: a runtime trip count made the common
-/// one-curve loop ~25% slower than a plain Binner1D::add loop.
+/// count is a template argument, so the per-row curve loop unrolls.
 template <std::size_t kCurves>
 void fold_curves(core::Binner1D* binners, const double* x,
                  const double* const* ys, const std::uint8_t* dropped,
@@ -904,8 +903,7 @@ CorrelationEngine::PlanResult CorrelationEngine::execute(
 
       // Phase 2: the swept-metric bin once per row feeds every curve; the
       // tally and the rated gather take one more loop over the same
-      // survivors (one loop carrying all of them, with a runtime curve
-      // count, ran the one-curve wrapper ~50% slower than the old loop).
+      // survivors.
       if (want_curves && !w.curves_merged) {
         std::array<const double*, kNumEngagementMetrics> ys{};
         for (std::size_t c = 0; c < n_curves; ++c) {

@@ -37,10 +37,7 @@ void ShardSummary::fold(const confsim::ParticipantRecord& rec) {
   const std::array<double, kNumEngagementMetrics> eng{
       rec.presence_pct, rec.cam_on_pct, rec.mic_on_pct};
   for (std::size_t a = 0; a < axes_.size(); ++a) {
-    const double x = netsim::metric_value(cond, axes_[a].metric);
-    for (std::size_t m = 0; m < eng.size(); ++m) {
-      binners_[binner_index(a, m, access)].add(x, eng[m]);
-    }
+    add_axis(a, access, netsim::metric_value(cond, axes_[a].metric), eng);
   }
   const double latency = cond.latency.ms();
   const double loss = cond.loss.percent();
@@ -82,10 +79,7 @@ void ShardSummary::fold(const SessionColumns& cols, std::size_t begin,
     const std::array<double, kNumEngagementMetrics> eng{pres[i], cam[i],
                                                         mic[i]};
     for (std::size_t a = 0; a < axes_.size(); ++a) {
-      const double x = axis_cols[a][i];
-      for (std::size_t m = 0; m < eng.size(); ++m) {
-        binners_[binner_index(a, m, access)].add(x, eng[m]);
-      }
+      add_axis(a, access, axis_cols[a][i], eng);
     }
     for (std::size_t m = 0; m < grids_.size(); ++m) {
       grids_[m].add(lat[i], loss[i], eng[m]);
@@ -185,12 +179,8 @@ void ShardSummary::refresh_predicted(const SessionColumns& cols,
 
 std::size_t ShardSummary::memory_bytes() const {
   std::size_t bytes = sizeof(ShardSummary);
-  for (const core::Binner1D& b : binners_) {
-    bytes += b.bin_count() * sizeof(core::RunningStats);
-  }
-  for (const core::Grid2D& g : grids_) {
-    bytes += g.x_bins() * g.y_bins() * sizeof(core::RunningStats);
-  }
+  for (const core::Binner1D& b : binners_) bytes += b.memory_bytes();
+  for (const core::Grid2D& g : grids_) bytes += g.memory_bytes();
   bytes += rated_.size() * sizeof(RatedSample);
   return bytes;
 }

@@ -5,7 +5,8 @@
 // StreamIngestor flush — all of which go through CorrelationEngine). A
 // summary holds, per access technology:
 //   * one core::Binner1D per (configured sweep axis x engagement metric) —
-//     count / mean / M2 moments per bin, accumulated in ingest order;
+//     an exact count and a running sum per bin, accumulated in ingest
+//     order;
 //   * session / rated-MOS / predicted-MOS tallies;
 // plus whole-shard equivalents, a Fig-2 latency x loss Grid2D per
 // engagement metric, and the shard's rated sessions reduced to
@@ -15,8 +16,8 @@
 //   * Access-filtered curves and all tallies replay the scan's exact
 //     floating-point add sequence (per-access accumulation in ingest
 //     order), so they are bit-identical to a rescan of the same shard.
-//   * Whole-population curves merge the access buckets (Welford merge);
-//     bin counts stay exact, means/M2 agree with a rescan to ~1e-12
+//   * Whole-population curves merge the access buckets (per-bin sums
+//     add); bin counts stay exact, means agree with a rescan to ~1e-12
 //     relative — inside the service's documented 1e-9 equivalence budget.
 //   * merge() combines two summaries of the same layout exactly the way
 //     the engine merges per-shard partials, so "merge of O(shards)
@@ -169,6 +170,17 @@ class ShardSummary {
     return (axis * static_cast<std::size_t>(kNumEngagementMetrics) + eng) *
                static_cast<std::size_t>(netsim::kNumAccessTechnologies) +
            access;
+  }
+
+  /// Bins `x` once on axis `axis` and adds each engagement value to its
+  /// (axis, engagement, access) binner; all of an axis's binners share
+  /// one layout.
+  void add_axis(std::size_t axis, std::size_t access, double x,
+                const std::array<double, kNumEngagementMetrics>& eng) {
+    const std::size_t bin = binners_[binner_index(axis, 0, access)].bin_of(x);
+    for (std::size_t m = 0; m < eng.size(); ++m) {
+      binners_[binner_index(axis, m, access)].add_to_bin(bin, eng[m]);
+    }
   }
 
   bool enabled_{false};

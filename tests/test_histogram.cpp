@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace usaas::core {
 namespace {
 
@@ -30,6 +32,24 @@ TEST(Binner1D, OutOfRangeIgnored) {
   b.add(10.0, 1.0);  // hi edge is exclusive
   EXPECT_EQ(b.total_added(), 0u);
   EXPECT_TRUE(b.bins().empty());
+}
+
+TEST(Binner1D, NaNXIsIgnored) {
+  // NaN fails every ordered compare, so a range check written as
+  // `x < lo || x >= hi` let it through to an undefined float-to-index
+  // cast (on x86-64 it landed in the top bin).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  Binner1D b{0.0, 100.0, 10};
+  EXPECT_EQ(b.bin_of(kNaN), b.bin_count());
+  b.add(kNaN, 50.0);
+  EXPECT_EQ(b.total_added(), 0u);
+  EXPECT_TRUE(b.bins().empty());
+}
+
+TEST(Binner1D, MemoryBytesIsBinsTimesCell) {
+  static_assert(sizeof(BinCell) == 16);
+  const Binner1D b{0.0, 300.0, 10};
+  EXPECT_EQ(b.memory_bytes(), 10 * sizeof(BinCell));
 }
 
 TEST(Binner1D, EmptyBinsOmitted) {
@@ -86,6 +106,21 @@ TEST(Grid2D, OutOfRangeIgnored) {
   g.add(-0.5, 0.5, 1.0);
   g.add(0.5, 1.5, 1.0);
   EXPECT_EQ(g.cell_count(0, 0), 0u);
+}
+
+TEST(Grid2D, NaNCoordinatesIgnored) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  Grid2D g{0.0, 4.0, 2, 0.0, 4.0, 2};
+  g.add(kNaN, 1.0, 5.0);
+  g.add(1.0, kNaN, 5.0);
+  g.add(kNaN, kNaN, 5.0);
+  EXPECT_TRUE(g.cells().empty());
+  EXPECT_FALSE(g.max_cell_mean().has_value());
+}
+
+TEST(Grid2D, MemoryBytesIsCellsTimesCell) {
+  const Grid2D g{0.0, 320.0, 8, 0.0, 3.4, 6};
+  EXPECT_EQ(g.memory_bytes(), 8 * 6 * sizeof(BinCell));
 }
 
 TEST(Binner1D, MergeMatchesSequentialFill) {

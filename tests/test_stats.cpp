@@ -51,66 +51,6 @@ TEST(Stats, MinMax) {
   EXPECT_DOUBLE_EQ(max_value(xs), 7.0);
 }
 
-TEST(RunningStats, MatchesBatchComputation) {
-  Rng rng{100};
-  std::vector<double> xs;
-  RunningStats rs;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(5.0, 3.0);
-    xs.push_back(x);
-    rs.add(x);
-  }
-  EXPECT_EQ(rs.count(), xs.size());
-  EXPECT_NEAR(rs.mean(), mean(xs), 1e-9);
-  EXPECT_NEAR(rs.variance(), variance(xs), 1e-6);
-  EXPECT_DOUBLE_EQ(rs.min(), min_value(xs));
-  EXPECT_DOUBLE_EQ(rs.max(), max_value(xs));
-}
-
-TEST(RunningStats, EmptyThrows) {
-  const RunningStats rs;
-  EXPECT_TRUE(rs.empty());
-  EXPECT_THROW((void)rs.mean(), std::logic_error);
-  EXPECT_THROW((void)rs.variance(), std::logic_error);
-  EXPECT_THROW((void)rs.min(), std::logic_error);
-}
-
-TEST(RunningStats, MergeEqualsConcatenation) {
-  Rng rng{101};
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.uniform(0.0, 10.0);
-    a.add(x);
-    all.add(x);
-  }
-  for (int i = 0; i < 300; ++i) {
-    const double x = rng.normal(20.0, 1.0);
-    b.add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmptySides) {
-  RunningStats a;
-  RunningStats empty;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  RunningStats c;
-  c.merge(a);
-  EXPECT_EQ(c.count(), 2u);
-  EXPECT_DOUBLE_EQ(c.mean(), 2.0);
-}
-
 TEST(Stats, SummarizeFields) {
   const std::vector<double> xs{1.0, 2.0, 3.0, 4.0, 100.0};
   const auto s = summarize(xs);

@@ -16,7 +16,7 @@
 // is held to the reference's separate scans.
 //
 // One documented exception: whole-population curves on a summary-
-// configured axis merge per-access Welford buckets (~1e-12 relative, per
+// configured axis merge per-access count + sum buckets (~1e-12 relative, per
 // the ShardSummary header contract) — those compare with a tight relative
 // bound instead, and only when summaries are on.
 //
@@ -620,7 +620,7 @@ TEST_P(ColumnarDifferential, DateCutAndPlatformSelectors) {
 
 TEST_P(ColumnarDifferential, WholePopulationDefaultAxisCurve) {
   // The one shape that is only ~1e-12-identical with summaries on (the
-  // whole-population curve merges per-access Welford buckets); without
+  // whole-population curve merges per-access count + sum buckets); without
   // summaries it must be bit-identical like everything else.
   const SweepSpec spec = sweep_for(netsim::Metric::kLatency, 10);
   const EngagementCurve got =

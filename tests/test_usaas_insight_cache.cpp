@@ -670,6 +670,77 @@ TEST(ShardSummaries, ConfigureAfterIngestThrows) {
                std::logic_error);
 }
 
+TEST(ShardSummaries, NaNLatencySessionFeedsNoCurveBinOrGridCell) {
+  // CorrelationEngine::ingest does not validate records (only the
+  // StreamIngestor quarantines NaN metrics), so a NaN-latency session
+  // reaches both the summary fold and the scan fold. It is stored and
+  // counted, but must land in no bin: NaN fails every ordered compare,
+  // and a range check that let it through cast NaN to a bin index.
+  auto calls = boundary_calls(4242, 3);
+  std::size_t sessions = 0;
+  for (const confsim::CallRecord& call : calls) {
+    sessions += call.participants.size();
+  }
+  calls.front().participants.front().network.latency_ms.mean = std::nan("");
+  for (const bool summaries : {false, true}) {
+    CorrelationEngine engine{ShardingPolicy::kMonthPlatform};
+    if (summaries) engine.configure_summaries(SummaryConfig{});
+    engine.ingest(calls);
+    ASSERT_EQ(engine.session_count(), sessions);
+    // 10 bins matches the default summary axis; 7 bins always scans.
+    for (const std::size_t bins : {std::size_t{10}, std::size_t{7}}) {
+      SweepSpec spec;
+      spec.metric = netsim::Metric::kLatency;
+      spec.lo = 0.0;
+      spec.hi = 300.0;
+      spec.bins = bins;
+      spec.control_others = false;
+      for (int e = 0; e < kNumEngagementMetrics; ++e) {
+        const EngagementCurve curve =
+            engine.engagement_curve(spec, static_cast<EngagementMetric>(e));
+        std::size_t binned = 0;
+        for (const CurvePoint& p : curve.points) binned += p.sessions;
+        EXPECT_EQ(binned, sessions - 1)
+            << "summaries " << summaries << " bins " << bins;
+      }
+    }
+    const SummaryGrid layout;
+    const core::Grid2D grid = engine.compounding_grid(
+        EngagementMetric::kPresence, layout.latency_hi_ms, layout.lat_bins,
+        layout.loss_hi_pct, layout.loss_bins);
+    std::size_t gridded = 0;
+    for (const core::GridCell& c : grid.cells()) gridded += c.count;
+    EXPECT_EQ(gridded, sessions - 1) << "summaries " << summaries;
+  }
+}
+
+TEST(ShardSummaries, MemoryBytesAreBinsTimesCellSize) {
+  const SummaryConfig cfg;
+  std::size_t cells = static_cast<std::size_t>(kNumEngagementMetrics) *
+                      cfg.grid.lat_bins * cfg.grid.loss_bins;
+  for (const SummaryAxis& axis : cfg.axes) {
+    cells += axis.bins * static_cast<std::size_t>(kNumEngagementMetrics) *
+             static_cast<std::size_t>(netsim::kNumAccessTechnologies);
+  }
+  const std::size_t per_shard =
+      sizeof(ShardSummary) + cells * sizeof(core::BinCell);
+  EXPECT_EQ(ShardSummary{cfg}.memory_bytes(), per_shard);
+
+  const auto calls = boundary_calls(77, 4);
+  std::size_t rated = 0;
+  for (const confsim::CallRecord& call : calls) {
+    for (const confsim::ParticipantRecord& rec : call.participants) {
+      rated += rec.mos.has_value() ? 1 : 0;
+    }
+  }
+  CorrelationEngine engine{ShardingPolicy::kMonthPlatform};
+  engine.configure_summaries(cfg);
+  engine.ingest(calls);
+  ASSERT_GT(engine.shard_count(), 1u);
+  EXPECT_EQ(engine.summary_memory_bytes(),
+            engine.shard_count() * per_shard + rated * sizeof(RatedSample));
+}
+
 // ---- Staleness under a live producer (the TSan workload) --------------
 
 TEST(InsightCache, NoStaleInsightAfterVersionBump) {
